@@ -33,9 +33,6 @@ impl Rule for NandToInvOr {
     fn class(&self) -> RuleClass {
         RuleClass::Area
     }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        milo_rules::scan_all_components(self, ctx)
-    }
     // Support: only the anchor's own kind.
     fn locality(&self) -> Locality {
         Locality::Local

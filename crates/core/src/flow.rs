@@ -283,30 +283,22 @@ impl PassOutcome {
     }
 }
 
-/// Run-wide switches for a [`Flow`], settable wholesale through
-/// [`Flow::options_mut`] or individually through the builder methods.
+/// Run-wide switches for a [`Flow`], set through its builder methods.
 #[derive(Clone, Copy, Debug)]
-pub struct FlowOptions {
-    /// Run the parallel baseline ("human designer") elaboration.
-    pub baseline: bool,
+struct FlowOptions {
     /// Sample best-effort per-pass statistics.
-    pub sample_stats: bool,
+    sample_stats: bool,
     /// Run the structural corruption check ([`fatal_violations`]) after
     /// every non-skipped pass, turning silent corruption into a
     /// `ValidationFailed` at the pass that caused it.
-    pub validate_each_pass: bool,
-    /// Catch pass panics and convert them to `PassPanicked` errors
-    /// (on by default). Off, a panicking pass unwinds to the caller.
-    pub isolate_panics: bool,
+    validate_each_pass: bool,
 }
 
 impl Default for FlowOptions {
     fn default() -> Self {
         Self {
-            baseline: true,
             sample_stats: true,
             validate_each_pass: false,
-            isolate_panics: true,
         }
     }
 }
@@ -645,8 +637,8 @@ impl Slot {
     }
 }
 
-/// An ordered, composable list of passes plus run policy (baseline
-/// elaboration, statistics sampling, observer).
+/// An ordered, composable list of passes plus run policy (statistics
+/// sampling, per-pass validation, observer, fault injection).
 ///
 /// [`Flow::standard`] is the paper pipeline; [`Milo::flow`] returns it.
 /// Passes can be appended, inserted before/after a named pass, removed,
@@ -750,13 +742,6 @@ impl Flow {
         self
     }
 
-    /// Disables the parallel baseline ("human designer") elaboration;
-    /// the result's `baseline` statistics come back zeroed.
-    pub fn without_baseline(&mut self) -> &mut Self {
-        self.options.baseline = false;
-        self
-    }
-
     /// Enables / disables best-effort per-pass statistics sampling
     /// (on by default; disable to shave STA runs off very hot loops).
     pub fn sample_stats(&mut self, on: bool) -> &mut Self {
@@ -765,23 +750,12 @@ impl Flow {
     }
 
     /// Enables / disables the post-pass structural validation
-    /// checkpoint (off by default; see
-    /// [`FlowOptions::validate_each_pass`]).
+    /// checkpoint (off by default). When on, [`fatal_violations`] runs
+    /// after every non-skipped pass, turning silent corruption into a
+    /// `ValidationFailed` at the pass that caused it.
     pub fn validate_each_pass(&mut self, on: bool) -> &mut Self {
         self.options.validate_each_pass = on;
         self
-    }
-
-    /// Enables / disables pass panic isolation (on by default; see
-    /// [`FlowOptions::isolate_panics`]).
-    pub fn isolate_panics(&mut self, on: bool) -> &mut Self {
-        self.options.isolate_panics = on;
-        self
-    }
-
-    /// Direct access to the run-wide option switches.
-    pub fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
     }
 
     /// Attaches a fault-tolerance [`PassPolicy`] to the pass named
@@ -812,16 +786,16 @@ impl Flow {
     }
 
     /// Runs the flow on `nl` under `constraints`, against `milo`'s
-    /// library and design database. The baseline elaboration (when
-    /// enabled) runs on a parallel arm over an `Arc`-shared database
-    /// snapshot while the pass list runs here; results are
-    /// deterministic — both arms are pure functions of their inputs.
+    /// library and design database. The baseline elaboration runs on a
+    /// parallel arm over an `Arc`-shared database snapshot while the
+    /// pass list runs here; results are deterministic — both arms are
+    /// pure functions of their inputs.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing pass / stage error. With panic
-    /// isolation on (the default), a panic on either arm comes back as
-    /// a structured `PassPanicked` instead of unwinding the caller.
+    /// Propagates the first failing pass / stage error. A panic on
+    /// either arm comes back as a structured `PassPanicked` instead of
+    /// unwinding the caller.
     pub fn run(
         &mut self,
         milo: &mut Milo,
@@ -834,44 +808,22 @@ impl Flow {
             .clone()
             .or_else(|| milo.fault_injector())
             .or_else(|| FaultInjector::from_env().map(Arc::new));
-        let isolate = self.options.isolate_panics;
         let (lib, db) = milo.parts_mut();
-        let (baseline_res, main_res) = if self.options.baseline {
-            // The snapshot clone copies Arc pointers, not netlists.
-            let snapshot = db.clone();
-            let baseline_lib = lib.clone();
-            let fault = fault.clone();
-            milo_par::try_join(
-                move || Some(elaborate_baseline(snapshot, &baseline_lib, nl)),
-                move || self.run_passes(lib, db, nl, constraints, fault.as_deref()),
-            )
-        } else {
-            let fault = fault.clone();
-            (
-                Ok(None),
-                catch_unwind(AssertUnwindSafe(move || {
-                    self.run_passes(lib, db, nl, constraints, fault.as_deref())
-                }))
-                .map_err(milo_par::Panic),
-            )
-        };
-        let unwind = |arm: &str, p: milo_par::Panic| -> MiloError {
-            if isolate {
-                MiloError::PassPanicked {
-                    pass: arm.to_owned(),
-                    design: nl.name.clone(),
-                    payload: p.message(),
-                    recovery: RecoveryAction::Aborted,
-                }
-            } else {
-                p.resume()
-            }
+        // The snapshot clone copies Arc pointers, not netlists.
+        let snapshot = db.clone();
+        let baseline_lib = lib.clone();
+        let (baseline_res, main_res) = milo_par::try_join(
+            move || elaborate_baseline(snapshot, &baseline_lib, nl),
+            move || self.run_passes(lib, db, nl, constraints, fault.as_deref()),
+        );
+        let unwind = |arm: &str, p: milo_par::Panic| MiloError::PassPanicked {
+            pass: arm.to_owned(),
+            design: nl.name.clone(),
+            payload: p.message(),
+            recovery: RecoveryAction::Aborted,
         };
         let (mut result, mut report) = main_res.map_err(|p| unwind("flow", p))??;
-        result.baseline = match baseline_res.map_err(|p| unwind("baseline", p))? {
-            Some(r) => r?,
-            None => DesignStats::default(),
-        };
+        result.baseline = baseline_res.map_err(|p| unwind("baseline", p))??;
         report.total_wall = started.elapsed();
         Ok(FlowOutput { result, report })
     }
@@ -960,19 +912,15 @@ impl Flow {
                     }
                     pass.run(ctx)
                 };
-                let ran = if opts.isolate_panics {
-                    catch_unwind(AssertUnwindSafe(|| exec(&mut slot.pass, &mut ctx)))
-                        .unwrap_or_else(|payload| {
-                            Err(MiloError::PassPanicked {
-                                pass: name.clone(),
-                                design: design.clone(),
-                                payload: milo_par::Panic(payload).message(),
-                                recovery: RecoveryAction::Aborted,
-                            })
+                let ran = catch_unwind(AssertUnwindSafe(|| exec(&mut slot.pass, &mut ctx)))
+                    .unwrap_or_else(|payload| {
+                        Err(MiloError::PassPanicked {
+                            pass: name.clone(),
+                            design: design.clone(),
+                            payload: milo_par::Panic(payload).message(),
+                            recovery: RecoveryAction::Aborted,
                         })
-                } else {
-                    exec(&mut slot.pass, &mut ctx)
-                };
+                    });
                 let wall = pass_started.elapsed();
                 ran.and_then(|pr| {
                     if fault.is_some_and(|f| f.fires(FaultKind::Corrupt, &name, &design)) {

@@ -46,8 +46,8 @@ pub use constraints::Constraints;
 pub use fault::{FaultInjector, FaultKind, FaultSpec};
 pub use flow::{
     json_string, BottomUpLogic, Compile, FailureAction, FanoutRepair, Flow, FlowContext, FlowEvent,
-    FlowOptions, FlowOutput, FlowReport, MicroCritic, Pass, PassOutcome, PassPolicy, PassReport,
-    RewriteBudget, TimingArea,
+    FlowOutput, FlowReport, MicroCritic, Pass, PassOutcome, PassPolicy, PassReport, RewriteBudget,
+    TimingArea,
 };
 pub use parse::{emit_netlist, parse_netlist, ParseError};
 pub use pipeline::{Milo, MiloError, RecoveryAction, SynthesisResult};

@@ -84,7 +84,7 @@ pub enum MiloError {
         recovery: RecoveryAction,
     },
     /// A post-pass validation checkpoint found fatal structural
-    /// violations ([`crate::FlowOptions::validate_each_pass`]).
+    /// violations ([`crate::Flow::validate_each_pass`]).
     ValidationFailed {
         /// The pass after which validation failed.
         pass: String,

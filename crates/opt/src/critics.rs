@@ -52,9 +52,6 @@ impl Rule for InvPairElimination {
     fn class(&self) -> RuleClass {
         RuleClass::Logic
     }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        milo_rules::scan_all_components(self, ctx)
-    }
     // Support: the anchor's kind, its output net's fanout/port-binding,
     // and the load's kind — all inside the 1-hop contract.
     fn locality(&self) -> Locality {
@@ -118,9 +115,6 @@ impl Rule for BufferElimination {
     }
     fn class(&self) -> RuleClass {
         RuleClass::Logic
-    }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        milo_rules::scan_all_components(self, ctx)
     }
     // Support: the anchor's kind and its output net's port-binding.
     fn locality(&self) -> Locality {
@@ -295,9 +289,6 @@ impl Rule for MuxDffMerge {
     fn class(&self) -> RuleClass {
         RuleClass::Logic
     }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        milo_rules::scan_all_components(self, ctx)
-    }
     // Support: the anchor mux's kind, its output net, and the kind and
     // entry pin of the single load — 1-hop.
     fn locality(&self) -> Locality {
@@ -411,9 +402,6 @@ impl Rule for MuxIntoMuxDff {
     }
     fn class(&self) -> RuleClass {
         RuleClass::Logic
-    }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        milo_rules::scan_all_components(self, ctx)
     }
     // Support: the anchor mux's kind, its output net, and the kind and
     // entry pin of the single load — 1-hop.
@@ -735,9 +723,6 @@ impl Rule for DeadCellRemoval {
     }
     fn class(&self) -> RuleClass {
         RuleClass::Cleanup
-    }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        milo_rules::scan_all_components(self, ctx)
     }
     // Support: the anchor's kind and its output nets' fanout and
     // port-binding — 1-hop.

@@ -146,8 +146,17 @@ pub trait Rule {
     fn name(&self) -> &'static str;
     /// Classification (which critic owns it).
     fn class(&self) -> RuleClass;
-    /// Finds all applicable sites.
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch>;
+    /// Finds all applicable sites. The default scans
+    /// [`Rule::matches_at`] over every component, which is all a
+    /// [`Locality::Local`] rule needs; other rules override this.
+    ///
+    /// # Panics
+    ///
+    /// The default panics when the rule overrides neither `matches`
+    /// nor `matches_at`, whose defaults would recurse into each other.
+    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
+        scan_all_components(self, ctx)
+    }
     /// The rule's support radius — the [`MatchIndex`] repair contract.
     ///
     /// Return [`Locality::Local`] only when a match anchored at a
@@ -247,21 +256,12 @@ pub struct Firing {
     pub effect: Effect,
 }
 
-/// Full-design scan for rules whose [`Rule::matches`] is just
-/// [`Rule::matches_at`] over every component — the usual body of a
-/// [`Locality::Local`] rule's `matches` implementation.
-///
-/// **The rule must override [`Rule::matches_at`].** The default
-/// `matches_at` delegates back to `matches`; calling this helper from
-/// `matches` without that override would recurse infinitely, so the
-/// cycle is detected and reported as a panic naming the missing
-/// override instead of a bare stack overflow.
-///
-/// # Panics
-///
-/// Panics when re-entered for the same rule — the signature of a
-/// missing `matches_at` override.
-pub fn scan_all_components(rule: &dyn Rule, ctx: &RuleCtx) -> Vec<RuleMatch> {
+/// [`Rule::matches`]'s default: [`Rule::matches_at`] over every
+/// component. The default `matches_at` delegates back to `matches`, so
+/// a rule overriding neither would recurse forever; the re-entry is
+/// detected and reported as a panic naming the missing override
+/// instead of a bare stack overflow.
+fn scan_all_components<R: Rule + ?Sized>(rule: &R, ctx: &RuleCtx) -> Vec<RuleMatch> {
     use std::cell::Cell;
     thread_local! {
         static SCANNING: Cell<bool> = const { Cell::new(false) };
@@ -274,9 +274,8 @@ pub fn scan_all_components(rule: &dyn Rule, ctx: &RuleCtx) -> Vec<RuleMatch> {
     }
     assert!(
         !SCANNING.with(|s| s.replace(true)),
-        "scan_all_components re-entered while scanning `{}`: the rule \
-         calls the helper from `matches` without overriding `matches_at` \
-         (whose default delegates back to `matches`)",
+        "rule `{}` overrides neither `matches` nor `matches_at`, whose \
+         defaults call each other",
         rule.name()
     );
     let _reset = Reset;
@@ -826,9 +825,6 @@ mod tests {
         fn class(&self) -> RuleClass {
             RuleClass::Logic
         }
-        fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-            scan_all_components(self, ctx)
-        }
         fn locality(&self) -> crate::matcher::Locality {
             crate::matcher::Locality::Local
         }
@@ -1041,6 +1037,30 @@ mod tests {
             tx.remove_component(m.site)?;
             panic!("rule fault after partial mutation");
         }
+    }
+
+    /// A rule overriding neither `matches` nor `matches_at`.
+    struct NoMatcher;
+
+    impl Rule for NoMatcher {
+        fn name(&self) -> &'static str {
+            "no-matcher"
+        }
+        fn class(&self) -> RuleClass {
+            RuleClass::Logic
+        }
+        fn apply(&self, _: &mut Tx, _: &RuleMatch) -> Result<(), NetlistError> {
+            Ok(())
+        }
+    }
+
+    /// The two matcher defaults call each other; a rule that overrides
+    /// neither must fail with a named panic, not a stack overflow.
+    #[test]
+    #[should_panic(expected = "rule `no-matcher` overrides neither `matches` nor `matches_at`")]
+    fn rule_without_a_matcher_panics_instead_of_overflowing() {
+        let nl = inv_chain(2);
+        NoMatcher.matches(&RuleCtx { nl: &nl, sta: None });
     }
 
     /// Panicking mid-apply must behave exactly like a rejected rewrite:

@@ -40,8 +40,7 @@ mod search;
 mod undo;
 
 pub use engine::{
-    refresh_or_rebuild, scan_all_components, Effect, Engine, Firing, Rule, RuleClass, RuleCtx,
-    RuleMatch, Selection,
+    refresh_or_rebuild, Effect, Engine, Firing, Rule, RuleClass, RuleCtx, RuleMatch, Selection,
 };
 pub use hashrules::{
     cell_truth_table, extract_cone, extract_cone_min, HashEntry, HashRuleTable, LibraryRef,

@@ -16,8 +16,8 @@
 //! `shutdown` request arrives. With `--smoke`, spins a private server
 //! on a free port, drives a submit → result → resubmit → stats
 //! sequence through the loopback, verifies the resubmission was an
-//! exact cache hit, and exits nonzero on any failure — the CI
-//! self-check.
+//! exact cache hit that ran no pass, and exits nonzero on any
+//! failure — the CI self-check.
 
 use milo_core::Constraints;
 use milo_serve::{spawn, Client, ServerConfig, SubmitOptions, Value};
@@ -122,7 +122,7 @@ fn usage(error: &str) -> ExitCode {
     }
 }
 
-/// The CI smoke sequence: two distinct designs, a resubmission that
+/// The CI smoke sequence: one design run once, a resubmission that
 /// must hit the exact cache, and a stats cross-check.
 fn run_smoke(config: ServerConfig) -> Result<(), String> {
     let handle = spawn(config).map_err(|e| format!("bind: {e}"))?;
@@ -167,6 +167,20 @@ fn run_smoke(config: ServerConfig) -> Result<(), String> {
         .ok_or("stats carry no cache.hits")?;
     if hits < 1 {
         return Err(format!("expected ≥1 exact cache hit, stats say {hits}"));
+    }
+    // Only the miss ran the flow, so the registry-derived pass count
+    // must equal the number of non-hit jobs: one.
+    let compiles = stats
+        .get("histograms")
+        .and_then(|h| h.get("passes"))
+        .and_then(|p| p.get("compile"))
+        .and_then(|c| c.get("count"))
+        .and_then(Value::as_u64)
+        .ok_or("stats carry no histograms.passes.compile.count")?;
+    if compiles != 1 {
+        return Err(format!(
+            "expected 1 compile run (one non-hit job), stats say {compiles}"
+        ));
     }
 
     client.shutdown().map_err(|e| format!("shutdown: {e}"))?;

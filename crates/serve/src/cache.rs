@@ -47,9 +47,16 @@
 use crate::disk::DiskCache;
 use milo_core::netlist::{fnv1a, structural_hash, DesignDb, Netlist};
 use milo_core::{Constraints, FlowContext, MiloError, Pass, PassReport};
+use milo_trace::{Counter, Registry};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Registry name of the LRU eviction counter (entries dropped from
+/// memory, either tier).
+pub const EVICTIONS: &str = "serve.cache.evictions";
+/// Registry name of the disk spill counter (records written to the
+/// disk store).
+pub const SPILLED: &str = "serve.cache.spilled";
 
 /// Exact-tier cache key: structure ⊕ full constraint rendering.
 pub fn job_key(nl: &Netlist, constraints: &Constraints) -> u64 {
@@ -188,14 +195,13 @@ pub struct ResultCache {
     /// `usize::MAX` means unbounded (the pre-v1.1 behavior).
     budget: usize,
     disk: Option<DiskCache>,
-    evictions: AtomicU64,
-    spilled: AtomicU64,
-    disk_hits: AtomicU64,
+    evictions: Arc<Counter>,
+    spilled: Arc<Counter>,
 }
 
-/// A point-in-time snapshot of the cache's storage counters — what the
-/// `stats` response reports under `"cache"` (alongside the outcome
-/// counters the server's `Metrics` tracks).
+/// A point-in-time snapshot of what is read under the cache's locks —
+/// the sizes the `stats` response reports under `"cache"` next to the
+/// registry counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
     /// Bytes resident in memory across both tiers (size-accounted).
@@ -206,30 +212,14 @@ pub struct CacheStats {
     pub prefix_entries: usize,
     /// Distinct keys in the disk store (0 without `--cache-dir`).
     pub disk_entries: usize,
-    /// Entries dropped from memory by the LRU budget, either tier.
-    pub evictions: u64,
-    /// Records written to the disk store.
-    pub spilled: u64,
-    /// Exact lookups served from disk after a memory miss.
-    pub disk_hits: u64,
-}
-
-impl Default for ResultCache {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ResultCache {
-    /// An unbounded, memory-only cache.
-    pub fn new() -> Self {
-        Self::bounded(None, None)
-    }
-
     /// A cache with an optional byte `budget` (both tiers combined;
     /// `None` = unbounded) and an optional disk store for the exact
-    /// tier.
-    pub fn bounded(budget: Option<usize>, disk: Option<DiskCache>) -> Self {
+    /// tier. Evictions and spills are counted in `registry` under
+    /// [`EVICTIONS`] and [`SPILLED`].
+    pub fn bounded(budget: Option<usize>, disk: Option<DiskCache>, registry: &Registry) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 exact: HashMap::new(),
@@ -241,9 +231,8 @@ impl ResultCache {
             }),
             budget: budget.unwrap_or(usize::MAX),
             disk,
-            evictions: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
+            evictions: registry.counter(EVICTIONS),
+            spilled: registry.counter(SPILLED),
         }
     }
 
@@ -254,7 +243,7 @@ impl ResultCache {
 
     /// Exact-tier lookup: memory first, then the disk store. A disk
     /// hit is re-promoted into memory (and may evict colder entries to
-    /// make room).
+    /// make room). The caller counts the outcome by the returned tier.
     pub fn lookup(&self, key: u64) -> Option<(Arc<CachedResult>, HitTier)> {
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -272,7 +261,6 @@ impl ResultCache {
         // Memory miss: probe the disk tier without holding the memory
         // lock across the read.
         let payload = Arc::new(self.disk.as_ref()?.get(key)?);
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
         self.insert_exact(key, payload.clone(), false);
         Some((payload, HitTier::Disk))
     }
@@ -287,7 +275,7 @@ impl ResultCache {
         if spill {
             if let Some(disk) = &self.disk {
                 if disk.append(key, &payload) {
-                    self.spilled.fetch_add(1, Ordering::Relaxed);
+                    self.spilled.inc();
                     milo_trace::instant("cache.spill");
                 }
             }
@@ -368,27 +356,12 @@ impl ResultCache {
                 }
             };
             inner.resident -= freed;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.inc();
             milo_trace::instant("cache.evict");
         }
     }
 
-    /// (exact entries, prefix entries) resident in memory — for the
-    /// stats report.
-    pub fn sizes(&self) -> (usize, usize) {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        (inner.exact.len(), inner.prefix.len())
-    }
-
-    /// Bytes currently resident in memory across both tiers.
-    pub fn resident_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .resident
-    }
-
-    /// Snapshot of every storage counter, for `stats`.
+    /// Snapshot of the resident sizes and entry counts, for `stats`.
     pub fn stats(&self) -> CacheStats {
         let (resident, exact_entries, prefix_entries) = {
             let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -399,9 +372,6 @@ impl ResultCache {
             exact_entries,
             prefix_entries,
             disk_entries: self.disk.as_ref().map_or(0, DiskCache::len),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            spilled: self.spilled.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -494,6 +464,18 @@ mod tests {
         })
     }
 
+    /// A cache on a fresh registry, plus the registry for counter reads.
+    fn fresh(budget: Option<usize>, disk: Option<DiskCache>) -> (ResultCache, Registry) {
+        let registry = Registry::new();
+        (ResultCache::bounded(budget, disk, &registry), registry)
+    }
+
+    /// (exact, prefix) entries resident in memory.
+    fn sizes(cache: &ResultCache) -> (usize, usize) {
+        let stats = cache.stats();
+        (stats.exact_entries, stats.prefix_entries)
+    }
+
     fn snapshot(nets: usize) -> Arc<PrefixSnapshot> {
         Arc::new(PrefixSnapshot {
             work: toy("snap", nets),
@@ -559,33 +541,32 @@ mod tests {
 
     #[test]
     fn cache_tiers_store_and_return() {
-        let cache = ResultCache::new();
+        let (cache, _) = fresh(None, None);
         assert!(cache.lookup(1).is_none());
         cache.store(1, payload("{}"));
         let (got, tier) = cache.lookup(1).expect("stored entry returns");
         assert_eq!(got.result_hash, Some(7));
         assert_eq!(tier, HitTier::Memory);
-        assert_eq!(cache.sizes(), (1, 0));
-        assert!(cache.resident_bytes() > 0);
+        assert_eq!(sizes(&cache), (1, 0));
+        assert!(cache.stats().resident_bytes > 0);
     }
 
     #[test]
     fn budget_evicts_least_recently_used_first() {
         // Each entry costs ENTRY_OVERHEAD + 100 bytes; budget fits two.
         let body = "x".repeat(100);
-        let cache = ResultCache::bounded(Some(2 * (ENTRY_OVERHEAD + 100)), None);
+        let (cache, registry) = fresh(Some(2 * (ENTRY_OVERHEAD + 100)), None);
         cache.store(1, payload(&body));
         cache.store(2, payload(&body));
-        assert_eq!(cache.sizes().0, 2);
+        assert_eq!(sizes(&cache).0, 2);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(cache.lookup(1).is_some());
         cache.store(3, payload(&body));
         assert!(cache.lookup(2).is_none(), "LRU entry evicted");
         assert!(cache.lookup(1).is_some(), "recently-touched survives");
         assert!(cache.lookup(3).is_some(), "newest survives");
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert!(stats.resident_bytes <= 2 * (ENTRY_OVERHEAD + 100));
+        assert_eq!(registry.counter(EVICTIONS).get(), 1);
+        assert!(cache.stats().resident_bytes <= 2 * (ENTRY_OVERHEAD + 100));
     }
 
     #[test]
@@ -595,16 +576,15 @@ mod tests {
         let snap = snapshot(64);
         let snap_bytes = snap.estimated_bytes();
         let body = "y".repeat(200);
-        let cache = ResultCache::bounded(Some(snap_bytes + 2 * (ENTRY_OVERHEAD + 200)), None);
+        let (cache, registry) = fresh(Some(snap_bytes + 2 * (ENTRY_OVERHEAD + 200)), None);
         cache.store_prefix(9, snap);
         cache.store(1, payload(&body));
         cache.store(2, payload(&body));
-        assert_eq!(cache.sizes(), (2, 1), "everything fits so far");
+        assert_eq!(sizes(&cache), (2, 1), "everything fits so far");
         cache.store(3, payload(&body));
-        let stats = cache.stats();
-        assert!(stats.evictions >= 1);
+        assert!(registry.counter(EVICTIONS).get() >= 1);
         assert_eq!(
-            cache.sizes().1,
+            sizes(&cache).1,
             0,
             "the cold prefix snapshot was the global LRU victim"
         );
@@ -620,16 +600,14 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let disk = DiskCache::open(&dir).expect("disk opens");
-        let cache = ResultCache::bounded(Some(0), Some(disk));
+        let (cache, registry) = fresh(Some(0), Some(disk));
         cache.store(5, payload("{\"z\": 0}"));
-        assert_eq!(cache.sizes(), (0, 0), "nothing stays resident");
+        assert_eq!(sizes(&cache), (0, 0), "nothing stays resident");
         let (got, tier) = cache.lookup(5).expect("disk replays");
         assert_eq!(got.json, "{\"z\": 0}");
         assert_eq!(tier, HitTier::Disk);
-        let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.spilled, 1);
-        assert!(stats.evictions >= 1);
+        assert_eq!(registry.counter(SPILLED).get(), 1);
+        assert!(registry.counter(EVICTIONS).get() >= 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -643,10 +621,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let disk = DiskCache::open(&dir).expect("disk opens");
         let body = "w".repeat(50);
-        let cache = ResultCache::bounded(Some(ENTRY_OVERHEAD + 50), Some(disk));
+        let (cache, registry) = fresh(Some(ENTRY_OVERHEAD + 50), Some(disk));
         cache.store(1, payload(&body));
         cache.store(2, payload(&body)); // evicts 1 from memory
-        assert_eq!(cache.stats().spilled, 2, "write-through spills on store");
+        assert_eq!(
+            registry.counter(SPILLED).get(),
+            2,
+            "write-through spills on store"
+        );
         let (got, tier) = cache.lookup(1).expect("evicted entry replays from disk");
         assert_eq!(tier, HitTier::Disk);
         assert_eq!(got.json, body);

@@ -35,11 +35,9 @@
 //! # Examples
 //!
 //! ```
-//! use milo_serve::{spawn, Client, ServerConfig};
+//! use milo_serve::{spawn, Client, ServerConfig, SubmitOptions};
 //! use milo_core::Constraints;
 //! use milo_techmap::ecl_library;
-//!
-//! use milo_serve::SubmitOptions;
 //!
 //! let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1))?;
 //! let mut client = Client::connect(handle.addr())?;

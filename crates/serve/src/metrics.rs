@@ -2,21 +2,24 @@
 //! time, and worker utilization — everything the `stats` request
 //! reports.
 //!
-//! Counters are lock-free atomics. Since v1.1 the per-pass table and
-//! the per-band queue-wait distributions live in a private
-//! [`milo_trace::Registry`] as log-bucketed histograms
-//! (`serve.pass_ns.<pass>`, `serve.queue_wait_ns.<band>`), so `stats`
-//! can report p50/p95/p99 without the server smoothing anything away.
+//! Every number lives in one private [`milo_trace::Registry`] per
+//! server: job and cache-outcome counters (`serve.jobs.*`,
+//! `serve.cache.*`, including the cache's own eviction and spill
+//! counters), the `running` gauge, worker busy time, and log-bucketed
+//! histograms for per-pass wall time (`serve.pass_ns.<pass>`) and
+//! per-band queue wait (`serve.queue_wait_ns.<band>`), so `stats` can
+//! report p50/p95/p99 without the server smoothing anything away.
+//! Handles are resolved once in [`Metrics::new`], so recording is one
+//! relaxed atomic with no registry lookup on the submit or claim path.
 //! The registry is per-instance, not [`milo_trace::Registry::global`],
 //! so concurrent servers in one test process never see each other's
-//! samples. The pass-run counts double as the cache-effectiveness
-//! oracle in tests: a cache-hit job increments job counters but no
-//! pass counters.
+//! samples. The per-pass counts double as the cache-effectiveness
+//! oracle in tests: a cache-hit job moves job counters but no pass
+//! histogram.
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, EVICTIONS, SPILLED};
 use crate::scheduler::QueueStats;
-use milo_trace::{Histogram, Registry};
-use std::sync::atomic::{AtomicU64, Ordering};
+use milo_trace::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,21 +30,23 @@ const WAIT_PREFIX: &str = "serve.queue_wait_ns.";
 /// Band names, indexed by [`crate::protocol::Priority::index`].
 const BAND_NAMES: [&str; 3] = ["high", "normal", "low"];
 
-/// Live service counters.
+/// Live service counters: handles into the server's registry.
 pub struct Metrics {
     started: Instant,
     workers: u64,
-    jobs_submitted: AtomicU64,
-    jobs_running: AtomicU64,
-    jobs_done: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    cache_hits: AtomicU64,
-    prefix_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    busy_ns: AtomicU64,
     registry: Registry,
+    submitted: Arc<Counter>,
+    running: Arc<Gauge>,
+    done: Arc<Counter>,
+    failed: Arc<Counter>,
+    cancelled: Arc<Counter>,
+    busy_ns: Arc<Counter>,
+    hits: Arc<Counter>,
+    prefix_hits: Arc<Counter>,
+    disk_hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    spilled: Arc<Counter>,
     queue_wait: [Arc<Histogram>; 3],
 }
 
@@ -49,82 +54,86 @@ impl Metrics {
     /// Fresh counters for a server with `workers` worker threads.
     pub fn new(workers: usize) -> Self {
         let registry = Registry::new();
-        let queue_wait =
-            std::array::from_fn(|i| registry.histogram(&format!("{WAIT_PREFIX}{}", BAND_NAMES[i])));
+        let counter = |name: &str| registry.counter(&format!("serve.{name}"));
         Self {
             started: Instant::now(),
             workers: workers as u64,
-            jobs_submitted: AtomicU64::new(0),
-            jobs_running: AtomicU64::new(0),
-            jobs_done: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_cancelled: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            prefix_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
+            submitted: counter("jobs.submitted"),
+            running: registry.gauge("serve.jobs.running"),
+            done: counter("jobs.done"),
+            failed: counter("jobs.failed"),
+            cancelled: counter("jobs.cancelled"),
+            busy_ns: counter("busy_ns"),
+            hits: counter("cache.hits"),
+            prefix_hits: counter("cache.prefix_hits"),
+            disk_hits: counter("cache.disk_hits"),
+            misses: counter("cache.misses"),
+            evictions: registry.counter(EVICTIONS),
+            spilled: registry.counter(SPILLED),
+            queue_wait: std::array::from_fn(|i| {
+                registry.histogram(&format!("{WAIT_PREFIX}{}", BAND_NAMES[i]))
+            }),
             registry,
-            queue_wait,
         }
     }
 
-    /// This server's private metric registry.
+    /// This server's private metric registry (the result cache takes
+    /// its eviction and spill counters from it).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
     /// A job entered the queue.
     pub fn submitted(&self) {
-        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        self.submitted.inc();
     }
 
     /// A worker picked a job up.
     pub fn running(&self) {
-        self.jobs_running.fetch_add(1, Ordering::Relaxed);
+        self.running.add(1);
     }
 
     /// A job left the running state, successfully.
     pub fn done(&self) {
-        self.jobs_running.fetch_sub(1, Ordering::Relaxed);
-        self.jobs_done.fetch_add(1, Ordering::Relaxed);
+        self.running.add(-1);
+        self.done.inc();
     }
 
     /// A job left the running state with an error.
     pub fn failed(&self) {
-        self.jobs_running.fetch_sub(1, Ordering::Relaxed);
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        self.running.add(-1);
+        self.failed.inc();
     }
 
     /// A job was cancelled before (or instead of) running.
     pub fn cancelled(&self) {
-        self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+        self.cancelled.inc();
     }
 
     /// Exact-tier cache hit (no passes ran).
     pub fn cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.inc();
     }
 
     /// Prefix-tier hit (resume flow ran from the first dirty pass).
     pub fn prefix_hit(&self) {
-        self.prefix_hits.fetch_add(1, Ordering::Relaxed);
+        self.prefix_hits.inc();
     }
 
     /// Exact hit served from the disk spill store (no passes ran; the
     /// entry was promoted back into memory).
     pub fn disk_hit(&self) {
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        self.disk_hits.inc();
     }
 
     /// Full synthesis run.
     pub fn cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
     }
 
     /// Worker busy time spent on one job.
     pub fn busy(&self, ns: u64) {
-        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
+        self.busy_ns.add(ns);
     }
 
     /// Records how long a work unit sat queued in `band` (a
@@ -148,29 +157,15 @@ impl Metrics {
         }
     }
 
-    /// Lifetime run count of one pass (test oracle).
-    pub fn pass_runs(&self, name: &str) -> u64 {
-        self.registry
-            .histogram(&format!("{PASS_PREFIX}{name}"))
-            .count()
-    }
-
-    /// Renders the full counter set as a JSON object. Cache hit rate is
-    /// exact hits (memory or disk) over terminal lookups; utilization
-    /// is busy time over `workers × uptime`.
-    ///
-    /// The v1.1 schema groups cache counters under `"cache"` and
-    /// scheduler counters under `"queue"`, and adds `"histograms"`
-    /// (per-band queue wait and per-pass wall time, each summarized as
-    /// `{"count", "sum", "mean", "p50", "p95", "p99"}`). The pre-1.1
-    /// keys — flat `jobs.queued` and the `"passes"` `{runs, total_ns}`
-    /// table, now derived from the histograms — are still rendered for
-    /// one release so existing dashboards keep working.
+    /// Renders the `stats` object from the registry, plus the
+    /// scheduler and cache-lock snapshots the caller took. Cache hit
+    /// rate is exact hits (memory or disk) over terminal lookups;
+    /// utilization is busy time over `workers × uptime`. Histograms
+    /// (per-band queue wait and per-pass wall time) are each
+    /// summarized as `{"count", "sum", "mean", "p50", "p95", "p99"}`.
     pub fn to_json(&self, queue: &QueueStats, cache: &CacheStats, shard_sizes: &[usize]) -> String {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let prefix = self.prefix_hits.load(Ordering::Relaxed);
-        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
+        let (hits, disk_hits) = (self.hits.get(), self.disk_hits.get());
+        let (prefix, misses) = (self.prefix_hits.get(), self.misses.get());
         let looked = hits + disk_hits + prefix + misses;
         let hit_rate = if looked == 0 {
             0.0
@@ -182,25 +177,18 @@ impl Metrics {
         let utilization = if capacity == 0 {
             0.0
         } else {
-            (self.busy_ns.load(Ordering::Relaxed) as f64 / capacity as f64).min(1.0)
+            (self.busy_ns.get() as f64 / capacity as f64).min(1.0)
         };
-        let pass_snaps = self.registry.histograms_with_prefix(PASS_PREFIX);
-        let mut passes = String::from("{");
-        let mut pass_summaries = String::from("{");
-        for (i, (name, snap)) in pass_snaps.iter().enumerate() {
-            let short = milo_core::json_string(&name[PASS_PREFIX.len()..]);
-            if i > 0 {
-                passes.push_str(", ");
-                pass_summaries.push_str(", ");
-            }
-            passes.push_str(&format!(
-                "{short}: {{\"runs\": {}, \"total_ns\": {}}}",
-                snap.count, snap.sum
-            ));
-            pass_summaries.push_str(&format!("{short}: {}", snap.summary_json()));
-        }
-        passes.push('}');
-        pass_summaries.push('}');
+        let pass_summaries = self
+            .registry
+            .histograms_with_prefix(PASS_PREFIX)
+            .iter()
+            .map(|(name, snap)| {
+                let short = milo_core::json_string(&name[PASS_PREFIX.len()..]);
+                format!("{short}: {}", snap.summary_json())
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
         let queue_wait = BAND_NAMES
             .iter()
             .zip(&self.queue_wait)
@@ -224,26 +212,25 @@ impl Metrics {
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\"workers\": {}, \"uptime_ns\": {}, \"jobs\": {{\"submitted\": {}, \"queued\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \"cancelled\": {}}}, \
+            "{{\"workers\": {}, \"uptime_ns\": {}, \"jobs\": {{\"submitted\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \"cancelled\": {}}}, \
              \"cache\": {{\"hits\": {}, \"prefix_hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"spilled\": {}, \"resident_bytes\": {}, \"exact_entries\": {}, \"prefix_entries\": {}, \"disk_entries\": {}}}, \
              \"queue\": {{\"depth\": {}, \"clients\": {}, \"bands\": {{{}}}}}, \
-             \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {}}}, \
-             \"worker_utilization\": {}, \"passes\": {}, \"shard_sizes\": [{}]}}",
+             \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {{{}}}}}, \
+             \"worker_utilization\": {}, \"shard_sizes\": [{}]}}",
             self.workers,
             uptime_ns,
-            self.jobs_submitted.load(Ordering::Relaxed),
-            queue.depth,
-            self.jobs_running.load(Ordering::Relaxed),
-            self.jobs_done.load(Ordering::Relaxed),
-            self.jobs_failed.load(Ordering::Relaxed),
-            self.jobs_cancelled.load(Ordering::Relaxed),
+            self.submitted.get(),
+            self.running.get(),
+            self.done.get(),
+            self.failed.get(),
+            self.cancelled.get(),
             hits,
             prefix,
             disk_hits,
             misses,
             hit_rate,
-            cache.evictions,
-            cache.spilled,
+            self.evictions.get(),
+            self.spilled.get(),
             cache.resident_bytes,
             cache.exact_entries,
             cache.prefix_entries,
@@ -254,7 +241,6 @@ impl Metrics {
             queue_wait,
             pass_summaries,
             utilization,
-            passes,
             shards,
         )
     }
@@ -263,6 +249,8 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CachedResult, HitTier, ResultCache};
+    use crate::disk::DiskCache;
 
     #[test]
     fn counters_accumulate_and_render() {
@@ -278,14 +266,11 @@ mod tests {
         m.busy(1_000);
         m.record_passes([("compile", false, 500u64), ("timing-area", false, 300)].into_iter());
         m.record_passes([("compile", false, 100u64), ("skipped", true, 9)].into_iter());
-
-        assert_eq!(m.pass_runs("compile"), 2);
-        assert_eq!(m.pass_runs("timing-area"), 1);
-        assert_eq!(m.pass_runs("skipped"), 0, "skipped slots don't count");
-
         m.disk_hit();
         m.queue_wait(1, 2_000);
         m.queue_wait(1, 4_000);
+        m.registry().counter(EVICTIONS).add(2);
+        m.registry().counter(SPILLED).add(3);
 
         let queue = QueueStats {
             depth: 3,
@@ -302,18 +287,17 @@ mod tests {
             exact_entries: 1,
             prefix_entries: 0,
             disk_entries: 5,
-            evictions: 2,
-            spilled: 3,
-            disk_hits: 1,
         };
         let json = m.to_json(&queue, &cache_stats, &[1, 0]);
         let v = crate::json::parse(&json).expect("stats json parses");
         let jobs = v.get("jobs").expect("jobs object");
+        assert_eq!(jobs.get("submitted").and_then(|x| x.as_u64()), Some(2));
+        assert_eq!(jobs.get("running").and_then(|x| x.as_u64()), Some(0));
         assert_eq!(jobs.get("done").and_then(|x| x.as_u64()), Some(2));
-        assert_eq!(
-            jobs.get("queued").and_then(|x| x.as_u64()),
-            Some(3),
-            "pre-1.1 flat key still rendered"
+        assert!(jobs.get("queued").is_none(), "no flat jobs.queued key");
+        assert!(
+            v.get("passes").is_none(),
+            "no legacy top-level passes table"
         );
         let cache = v.get("cache").expect("cache object");
         assert_eq!(cache.get("hits").and_then(|x| x.as_u64()), Some(1));
@@ -337,22 +321,6 @@ mod tests {
         let normal = q.get("bands").and_then(|b| b.get("normal")).expect("band");
         assert_eq!(normal.get("depth").and_then(|x| x.as_u64()), Some(3));
         assert_eq!(normal.get("scheduled").and_then(|x| x.as_u64()), Some(7));
-        let passes = v.get("passes").expect("passes object");
-        assert_eq!(
-            passes
-                .get("compile")
-                .and_then(|c| c.get("runs"))
-                .and_then(|x| x.as_u64()),
-            Some(2)
-        );
-        assert_eq!(
-            passes
-                .get("compile")
-                .and_then(|c| c.get("total_ns"))
-                .and_then(|x| x.as_u64()),
-            Some(600),
-            "passes table is derived from the histograms"
-        );
         let hists = v.get("histograms").expect("histograms object");
         let wait = hists
             .get("queue_wait")
@@ -364,11 +332,49 @@ mod tests {
             wait.get("p95").and_then(|x| x.as_u64()).expect("p95") >= 4_000,
             "p95 bound covers the slowest wait"
         );
-        let compile = hists
-            .get("passes")
-            .and_then(|p| p.get("compile"))
-            .expect("pass summary");
+        let passes = hists.get("passes").expect("pass summaries");
+        let compile = passes.get("compile").expect("compile summary");
         assert_eq!(compile.get("count").and_then(|x| x.as_u64()), Some(2));
+        assert_eq!(compile.get("sum").and_then(|x| x.as_u64()), Some(600));
         assert!(compile.get("p50").is_some());
+        let timing = passes.get("timing-area").expect("timing-area summary");
+        assert_eq!(timing.get("count").and_then(|x| x.as_u64()), Some(1));
+        assert!(passes.get("skipped").is_none(), "skipped slots don't count");
+    }
+
+    /// A disk hit goes through the cache (which only reports the tier)
+    /// and then the server's outcome counter: `cache.disk_hits` moves
+    /// by exactly one, and the cache's spill and eviction counters land
+    /// in the same registry.
+    #[test]
+    fn one_disk_hit_counts_once() {
+        let dir = std::env::temp_dir().join(format!("milo-serve-metrics-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = Metrics::new(1);
+        let disk = DiskCache::open(&dir).expect("disk opens");
+        let cache = ResultCache::bounded(Some(0), Some(disk), m.registry());
+        let payload = CachedResult {
+            json: "{}".to_owned(),
+            result_hash: None,
+        };
+        cache.store(1, Arc::new(payload));
+        let cache_counter = |key: &str| {
+            let v = crate::json::parse(&m.to_json(&QueueStats::default(), &cache.stats(), &[]))
+                .expect("stats json parses");
+            v.get("cache")
+                .and_then(|c| c.get(key))
+                .and_then(|x| x.as_u64())
+                .expect("cache counter")
+        };
+        assert_eq!(cache_counter("disk_hits"), 0);
+
+        let (_, tier) = cache.lookup(1).expect("disk replays");
+        assert_eq!(tier, HitTier::Disk);
+        assert_eq!(cache_counter("disk_hits"), 0, "the cache counts nothing");
+        m.disk_hit();
+        assert_eq!(cache_counter("disk_hits"), 1);
+        assert_eq!(cache_counter("spilled"), 1);
+        assert!(cache_counter("evictions") >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -391,6 +391,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         Some(dir) => Some(DiskCache::open(dir)?),
         None => None,
     };
+    let metrics = Metrics::new(config.workers.max(1));
     let shared = Arc::new(Shared {
         addr,
         lib: config.library,
@@ -401,8 +402,8 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         next_id: AtomicU64::new(1),
         next_conn: AtomicU64::new(1),
         shards: ShardedDb::new(config.shards),
-        cache: ResultCache::bounded(config.cache_bytes, disk),
-        metrics: Metrics::new(config.workers.max(1)),
+        cache: ResultCache::bounded(config.cache_bytes, disk, metrics.registry()),
+        metrics,
         shutdown: AtomicBool::new(false),
     });
 

@@ -162,7 +162,7 @@ fn near_miss_resumes_from_the_first_dirty_pass() {
         "miss"
     );
     let stats = client.stats().expect("stats");
-    let compile_runs = stat_u64(&stats, &["passes", "compile", "runs"]);
+    let compile_runs = stat_u64(&stats, &["histograms", "passes", "compile", "count"]);
     assert_eq!(compile_runs, 1, "full run executed the compile pass");
 
     let second = client
@@ -183,12 +183,12 @@ fn near_miss_resumes_from_the_first_dirty_pass() {
         );
         let stats = client.stats().expect("stats");
         assert_eq!(
-            stat_u64(&stats, &["passes", "compile", "runs"]),
+            stat_u64(&stats, &["histograms", "passes", "compile", "count"]),
             1,
             "prefix resume must not re-run compile"
         );
         assert_eq!(
-            stat_u64(&stats, &["passes", "timing-area", "runs"]),
+            stat_u64(&stats, &["histograms", "passes", "timing-area", "count"]),
             2,
             "the dirty pass runs again"
         );
@@ -479,7 +479,7 @@ fn eviction_keeps_resident_bytes_under_budget_and_replays_from_disk() {
         "every committed exact entry was spilled to disk: {stats}"
     );
     assert_eq!(stat_u64(&stats, &["cache", "disk_entries"]), 3);
-    let compile_before = stat_u64(&stats, &["passes", "compile", "runs"]);
+    let compile_before = stat_u64(&stats, &["histograms", "passes", "compile", "count"]);
 
     // The memory tier is empty, so this must come back from disk —
     // same bytes, zero additional passes.
@@ -501,7 +501,7 @@ fn eviction_keeps_resident_bytes_under_budget_and_replays_from_disk() {
     let stats = client.stats().expect("stats");
     assert_eq!(stat_u64(&stats, &["cache", "disk_hits"]), 1);
     assert_eq!(
-        stat_u64(&stats, &["passes", "compile", "runs"]),
+        stat_u64(&stats, &["histograms", "passes", "compile", "count"]),
         compile_before,
         "a disk hit runs no passes"
     );
@@ -566,10 +566,14 @@ fn disk_cache_warm_starts_across_server_generations() {
 
     let stats = client.stats().expect("stats");
     assert_eq!(stat_u64(&stats, &["cache", "disk_hits"]), 1);
-    // No pass ever ran in this generation, so the per-pass table is
-    // still empty (an absent key, not a zero count).
+    // No pass ever ran in this generation, so the per-pass histograms
+    // are still empty (an absent key, not a zero count).
     assert!(
-        stats.get("passes").and_then(|p| p.get("compile")).is_none(),
+        stats
+            .get("histograms")
+            .and_then(|h| h.get("passes"))
+            .and_then(|p| p.get("compile"))
+            .is_none(),
         "zero passes ran in the new generation: {stats}"
     );
 
@@ -625,10 +629,9 @@ fn interactive_submit_beats_a_bulk_backlog() {
         "bulk backlog still queued when the interactive job finished \
          (depth {depth}): {stats}"
     );
-    assert_eq!(
-        stat_u64(&stats, &["jobs", "queued"]),
-        depth,
-        "pre-1.1 flat key mirrors queue.depth"
+    assert!(
+        stats.get("jobs").and_then(|j| j.get("queued")).is_none(),
+        "the flat jobs.queued key is gone; queue.depth carries it: {stats}"
     );
     assert!(
         stat_u64(&stats, &["queue", "bands", "high", "scheduled"]) >= 1,
@@ -773,28 +776,5 @@ fn v11_envelope_round_trips_and_old_clients_keep_working() {
     assert!(
         get_str(&v, "error").contains("unsupported protocol version"),
         "{raw}"
-    );
-}
-
-/// Satellite (c): the deprecated positional `submit` still works and
-/// behaves exactly like `submit_with` — it's a thin shim, kept one
-/// release.
-#[test]
-fn deprecated_positional_submit_still_works() {
-    let (text, parsed) = wire(&fig19::circuit3());
-    let constraints = Constraints::none().with_max_delay(6.0);
-    let expected = offline_results(std::slice::from_ref(&parsed), &constraints);
-
-    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
-    let mut client = Client::connect(handle.addr()).expect("connects");
-    #[allow(deprecated)]
-    let job = client
-        .submit(&text, &constraints, false)
-        .expect("old signature submits");
-    let raw = client.result_raw(job).expect("result");
-    assert!(raw.contains("\"state\": \"done\""));
-    assert!(
-        raw.contains(expected[0].as_str()),
-        "shim serves the same bytes"
     );
 }
