@@ -21,7 +21,7 @@
 
 use milo_bench::fuzz::{fuzz_case, seeds_from_env};
 use milo_circuits::random_control;
-use milo_core::{Constraints, Milo};
+use milo_core::{Constraints, Milo, PassOutcome};
 use milo_netlist::{validate, Violation};
 use milo_techmap::ecl_library;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,7 +58,11 @@ fn scale_smoke() -> Result<(), String> {
             p.name,
             p.wall,
             p.rules_applied,
-            if p.skipped { " (skipped)" } else { "" }
+            if p.outcome == PassOutcome::Skipped {
+                " (skipped)"
+            } else {
+                ""
+            }
         );
     }
     println!(

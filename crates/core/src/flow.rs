@@ -389,9 +389,6 @@ impl Pass for Box<dyn Pass> {
 pub struct PassReport {
     /// Pass name.
     pub name: String,
-    /// Whether the pass was skipped (by its skip predicate). Kept for
-    /// compatibility; `outcome` is the richer signal.
-    pub skipped: bool,
     /// How the slot concluded (completed / skipped / failed-skipped /
     /// rolled-back).
     pub outcome: PassOutcome,
@@ -472,7 +469,7 @@ pub struct FlowReport {
 impl FlowReport {
     /// Hand-rolled JSON encoding (the build environment has no serde):
     /// `{"design", "structural_hash", "total_ns", "degraded", "passes":
-    /// [{name, skipped, outcome, error, wall_ns, rules_applied,
+    /// [{name, outcome, error, wall_ns, rules_applied,
     /// cells_delta, area_delta, delay_delta, note}]}`.
     ///
     /// `structural_hash` is the result netlist's fingerprint as a hex
@@ -496,11 +493,10 @@ impl FlowReport {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"name\": {}, \"skipped\": {}, \"outcome\": {}, \"error\": {}, \
+                "{{\"name\": {}, \"outcome\": {}, \"error\": {}, \
                  \"wall_ns\": {}, \"rules_applied\": {}, \
                  \"cells_delta\": {}, \"area_delta\": {}, \"delay_delta\": {}, \"note\": {}}}",
                 json_string(&p.name),
-                p.skipped,
                 json_string(p.outcome.as_str()),
                 p.error
                     .as_deref()
@@ -605,7 +601,7 @@ pub enum FlowEvent<'a> {
         /// Pass name.
         name: &'a str,
     },
-    /// A pass finished (or was skipped — see [`PassReport::skipped`]).
+    /// A pass finished (or was skipped — see [`PassReport::outcome`]).
     PassFinished {
         /// Position in the pass list.
         index: usize,
@@ -897,7 +893,6 @@ impl Flow {
             let pass_started = Instant::now();
             let run_res: Result<PassReport, MiloError> = if skipped {
                 Ok(PassReport {
-                    skipped: true,
                     outcome: PassOutcome::Skipped,
                     ..PassReport::default()
                 })

@@ -363,11 +363,13 @@ impl Milo {
         }
     }
 
-    /// Creates a MILO instance seeded with an existing design database.
-    /// This is how a long-lived service rehydrates a worker: the shared
-    /// compiler cache is assembled from storage shards, handed to a
-    /// fresh `Milo`, and recovered with [`Milo::into_database`] after
-    /// the run to merge newly compiled designs back.
+    /// Creates a MILO instance seeded with an existing design database,
+    /// e.g. one recovered with [`Milo::into_database`] after earlier
+    /// runs. Such a database holds the sub-designs those runs optimized
+    /// bottom-up under their compiler names (`ADD4`, `MUX2:1:4`, …), and
+    /// a later run reuses them in both its flow and its unoptimized
+    /// baseline: its result and baseline can differ from a run on a
+    /// fresh [`Milo::new`].
     pub fn with_database(lib: TechLibrary, db: DesignDb) -> Self {
         Self {
             lib,

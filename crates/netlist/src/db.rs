@@ -70,16 +70,16 @@ impl DesignDb {
     }
 
     /// Stores an already-shared design under `name`. The [`Arc`] is
-    /// adopted as-is — this is the building block for redistributing
-    /// designs across storage shards without cloning netlists.
+    /// adopted as-is — this is the building block for moving designs
+    /// between databases without cloning netlists.
     pub fn insert_shared(&mut self, name: impl Into<String>, design: Arc<Netlist>) {
         self.designs.insert(name.into(), design);
     }
 
     /// Iterates `(name, shared design)` pairs. Exposing the [`Arc`]
     /// (rather than the netlist reference [`DesignDb::get`] returns)
-    /// lets callers move designs between databases — merge-back into a
-    /// sharded store, snapshot assembly — at pointer cost.
+    /// lets callers move designs between databases — filtering one,
+    /// assembling a snapshot — at pointer cost.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &Arc<Netlist>)> {
         self.designs.iter().map(|(n, d)| (n.as_str(), d))
     }

@@ -298,9 +298,6 @@ pub struct Engine {
     rules: Vec<Box<dyn Rule>>,
     refraction: HashSet<(String, ComponentId, Vec<ComponentId>, usize)>,
     match_oracle: bool,
-    /// Undo logs of committed firings, oldest first, recorded while the
-    /// journal is enabled — the flow layer's checkpoint/rollback hook.
-    journal: Option<Vec<UndoLog>>,
     /// Trace of fired rules.
     pub firings: Vec<Firing>,
 }
@@ -312,7 +309,6 @@ impl Engine {
             rules,
             refraction: HashSet::new(),
             match_oracle: oracle_from_env(),
-            journal: None,
             firings: Vec::new(),
         }
     }
@@ -325,58 +321,6 @@ impl Engine {
     /// Clears refraction memory (e.g. between optimization phases).
     pub fn reset_refraction(&mut self) {
         self.refraction.clear();
-    }
-
-    /// Starts journaling committed rewrites: every firing accepted by
-    /// [`Engine::run`] / [`Engine::step`] / [`Engine::sweep`] /
-    /// [`Engine::run_sweeps`] keeps its [`UndoLog`] so a caller can
-    /// [`Engine::rollback_to`] an earlier [`Engine::journal_mark`].
-    /// Idempotent; journaling stays on until [`Engine::take_journal`].
-    pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Vec::new());
-        }
-    }
-
-    /// A checkpoint mark: the number of journaled rewrites so far.
-    /// Rewrites committed while the journal is disabled are not
-    /// recorded (and can never be rolled back).
-    pub fn journal_mark(&self) -> usize {
-        self.journal.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Undoes every journaled rewrite back to (and excluding) `mark`,
-    /// newest first, restoring the netlist to its exact state at the
-    /// matching [`Engine::journal_mark`] call. Returns the number of
-    /// rewrites undone. Refraction memory is deliberately kept: a
-    /// rolled-back application stays refracted, so a retry does not
-    /// immediately re-fire into the same fault.
-    ///
-    /// The netlist must not have been mutated outside the engine since
-    /// the mark was taken (the undo logs replay exact inverses).
-    pub fn rollback_to(&mut self, nl: &mut Netlist, mark: usize) -> usize {
-        let Some(journal) = self.journal.as_mut() else {
-            return 0;
-        };
-        let mut undone = 0;
-        while journal.len() > mark {
-            let log = journal.pop().expect("len checked");
-            log.undo(nl);
-            undone += 1;
-        }
-        undone
-    }
-
-    /// Stops journaling and hands the recorded logs (oldest first) to
-    /// the caller, e.g. to merge into an outer transaction scope.
-    pub fn take_journal(&mut self) -> Vec<UndoLog> {
-        self.journal.take().unwrap_or_default()
-    }
-
-    fn journal_push(&mut self, log: UndoLog) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.push(log);
-        }
     }
 
     /// Forces the full-rescan oracle on or off (defaults to the
@@ -628,7 +572,6 @@ impl Engine {
                         if maintain {
                             self.repair_index(nl, inc, index, &log.touch_set());
                         }
-                        self.journal_push(log);
                         return true;
                     }
                 }
@@ -658,7 +601,6 @@ impl Engine {
                             if maintain {
                                 self.repair_index(nl, inc, index, &log.touch_set());
                             }
-                            self.journal_push(log);
                             true
                         } else {
                             false
@@ -740,7 +682,6 @@ impl Engine {
                     touched.extend(m.aux.iter().copied());
                     merged.merge(&log.touch_set());
                     self.record(idx, &m, Effect::default());
-                    self.journal_push(log);
                     fired += 1;
                 }
                 Ok(Err(_)) | Err(_) => log.undo(nl),
@@ -1078,39 +1019,6 @@ mod tests {
         let swept = engine.sweep(&mut nl, None);
         assert_eq!(swept, 0);
         assert_eq!(format!("{nl:?}"), before, "sweep path rolled back too");
-    }
-
-    /// The journal records every committed firing; rolling back to a
-    /// mark restores the exact netlist at that mark.
-    #[test]
-    fn journal_rollback_restores_marked_state() {
-        let mut nl = inv_chain(8);
-        let mut engine = Engine::new(vec![Box::new(DoubleInv)]);
-        engine.enable_journal();
-
-        let mark0 = engine.journal_mark();
-        assert_eq!(mark0, 0);
-        let at_mark0 = format!("{nl:?}");
-
-        assert!(engine.step(&mut nl, Selection::OpsOrder, None));
-        let mark1 = engine.journal_mark();
-        assert_eq!(mark1, 1);
-        let at_mark1 = format!("{nl:?}");
-
-        let fired = engine.run_sweeps(&mut nl, None, 20);
-        assert!(fired > 0);
-        assert_eq!(engine.journal_mark(), 1 + fired);
-
-        // Unwind to the intermediate mark, then all the way out.
-        assert_eq!(engine.rollback_to(&mut nl, mark1), fired);
-        assert_eq!(format!("{nl:?}"), at_mark1);
-        assert_eq!(engine.rollback_to(&mut nl, mark0), 1);
-        assert_eq!(format!("{nl:?}"), at_mark0);
-
-        // The journal is empty now; taking it disables journaling.
-        assert!(engine.take_journal().is_empty());
-        assert!(engine.step(&mut nl, Selection::OpsOrder, None));
-        assert_eq!(engine.journal_mark(), 0, "journaling off after take");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `milo-serve` daemon binary.
 //!
 //! ```text
-//! milo-serve [--addr HOST:PORT] [--workers N] [--shards N]
+//! milo-serve [--addr HOST:PORT] [--workers N]
 //!            [--cache-bytes SIZE] [--cache-dir DIR] [--smoke]
 //! ```
 //!
@@ -57,10 +57,6 @@ fn main() -> ExitCode {
                 Some(n) if n > 0 => config = config.with_workers(n),
                 _ => return usage("--workers needs a positive integer"),
             },
-            "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config = config.with_shards(n),
-                _ => return usage("--shards needs a positive integer"),
-            },
             "--cache-bytes" => match args.next().as_deref().and_then(parse_bytes) {
                 Some(n) => config = config.with_cache_bytes(n),
                 None => return usage("--cache-bytes needs a size like 1048576, 64m, or 1g"),
@@ -112,7 +108,7 @@ fn usage(error: &str) -> ExitCode {
         eprintln!("milo-serve: {error}");
     }
     eprintln!(
-        "usage: milo-serve [--addr HOST:PORT] [--workers N] [--shards N] \
+        "usage: milo-serve [--addr HOST:PORT] [--workers N] \
          [--cache-bytes SIZE] [--cache-dir DIR] [--smoke]"
     );
     if error.is_empty() {

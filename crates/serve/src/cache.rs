@@ -110,9 +110,8 @@ impl PrefixSnapshot {
     /// Estimated resident footprint in bytes. A deliberate estimate,
     /// not a measurement: netlists are slot-counted at a conservative
     /// per-slot cost, and the `Arc`-shared database snapshot is charged
-    /// shallowly (name-table entries only — the designs themselves are
-    /// shared with the live store, so charging them here would bill the
-    /// same bytes twice). What matters for the budget is that the
+    /// shallowly (name-table entries only, an undercount of the designs
+    /// it keeps alive). What matters for the budget is that the
     /// estimate is deterministic and scales with the real footprint.
     pub fn estimated_bytes(&self) -> usize {
         let netlist = 256

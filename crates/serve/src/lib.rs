@@ -5,11 +5,10 @@
 //! just `std` sockets, a thread-per-connection front end, and a fixed
 //! pool of synthesis workers draining a condvar-signaled job queue.
 //!
-//! The service adds three things the offline driver doesn't have:
+//! Each job runs on its own fresh [`milo_core::Milo`], exactly as an
+//! offline run would. The service adds two things the offline driver
+//! doesn't have:
 //!
-//! * a **sharded design database** ([`ShardedDb`]) so concurrent
-//!   workers merging compiled designs back don't serialize on one
-//!   lock;
 //! * **fingerprint-keyed result caching** ([`ResultCache`]): an exact
 //!   tier (structure ⊕ constraints → replay stored bytes) and a
 //!   prefix tier (structure ⊕ tightest delay → resume from the first
@@ -28,9 +27,10 @@
 //!
 //! Determinism is the service's core contract: a job's result JSON is
 //! byte-identical to an offline `synthesize_batch_results` run of the
-//! same design and constraints, regardless of arrival order, worker
-//! count, or cache state. See `docs/SERVICE.md` for the protocol
-//! grammar and ops knobs.
+//! same design and constraints on a fresh `Milo`, regardless of
+//! arrival order, worker count, or cache state; no earlier job can
+//! change its output. See `docs/SERVICE.md` for the protocol grammar
+//! and ops knobs.
 //!
 //! # Examples
 //!
@@ -62,7 +62,6 @@ pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod scheduler;
-pub mod shard;
 
 mod client;
 mod server;
@@ -75,4 +74,3 @@ pub use metrics::Metrics;
 pub use protocol::{constraints_to_json, parse_request, Priority, Request, PROTOCOL_VERSION};
 pub use scheduler::{QueueStats, Scheduler, WorkUnit};
 pub use server::{spawn, CacheOutcome, ServerConfig, ServerHandle};
-pub use shard::ShardedDb;

@@ -19,6 +19,7 @@
 
 use crate::cache::{CacheStats, EVICTIONS, SPILLED};
 use crate::scheduler::QueueStats;
+use milo_core::{FlowReport, PassOutcome};
 use milo_trace::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,15 +146,16 @@ impl Metrics {
         }
     }
 
-    /// Folds one finished flow's per-pass wall times in.
-    pub fn record_passes<'a>(&self, passes: impl Iterator<Item = (&'a str, bool, u64)>) {
-        for (name, skipped, wall_ns) in passes {
-            if skipped {
+    /// Folds one finished flow's per-pass wall times in. A pass its
+    /// skip predicate skipped records nothing.
+    pub fn record_passes(&self, report: &FlowReport) {
+        for p in &report.passes {
+            if p.outcome == PassOutcome::Skipped {
                 continue;
             }
             self.registry
-                .histogram(&format!("{PASS_PREFIX}{name}"))
-                .record(wall_ns);
+                .histogram(&format!("{PASS_PREFIX}{}", p.name))
+                .record(u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX));
         }
     }
 
@@ -163,7 +165,7 @@ impl Metrics {
     /// utilization is busy time over `workers × uptime`. Histograms
     /// (per-band queue wait and per-pass wall time) are each
     /// summarized as `{"count", "sum", "mean", "p50", "p95", "p99"}`.
-    pub fn to_json(&self, queue: &QueueStats, cache: &CacheStats, shard_sizes: &[usize]) -> String {
+    pub fn to_json(&self, queue: &QueueStats, cache: &CacheStats) -> String {
         let (hits, disk_hits) = (self.hits.get(), self.disk_hits.get());
         let (prefix, misses) = (self.prefix_hits.get(), self.misses.get());
         let looked = hits + disk_hits + prefix + misses;
@@ -195,11 +197,6 @@ impl Metrics {
             .map(|(name, h)| format!("\"{name}\": {}", h.snapshot().summary_json()))
             .collect::<Vec<_>>()
             .join(", ");
-        let shards = shard_sizes
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
         let bands = BAND_NAMES
             .iter()
             .zip(&queue.bands)
@@ -216,7 +213,7 @@ impl Metrics {
              \"cache\": {{\"hits\": {}, \"prefix_hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"spilled\": {}, \"resident_bytes\": {}, \"exact_entries\": {}, \"prefix_entries\": {}, \"disk_entries\": {}}}, \
              \"queue\": {{\"depth\": {}, \"clients\": {}, \"bands\": {{{}}}}}, \
              \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {{{}}}}}, \
-             \"worker_utilization\": {}, \"shard_sizes\": [{}]}}",
+             \"worker_utilization\": {}}}",
             self.workers,
             uptime_ns,
             self.submitted.get(),
@@ -241,7 +238,6 @@ impl Metrics {
             queue_wait,
             pass_summaries,
             utilization,
-            shards,
         )
     }
 }
@@ -251,6 +247,24 @@ mod tests {
     use super::*;
     use crate::cache::{CachedResult, HitTier, ResultCache};
     use crate::disk::DiskCache;
+    use crate::json::Value;
+    use milo_core::PassReport;
+    use std::time::Duration;
+
+    fn report(passes: &[(&str, PassOutcome, u64)]) -> FlowReport {
+        FlowReport {
+            passes: passes
+                .iter()
+                .map(|&(name, outcome, wall_ns)| PassReport {
+                    name: name.to_owned(),
+                    outcome,
+                    wall: Duration::from_nanos(wall_ns),
+                    ..PassReport::default()
+                })
+                .collect(),
+            ..FlowReport::default()
+        }
+    }
 
     #[test]
     fn counters_accumulate_and_render() {
@@ -264,8 +278,14 @@ mod tests {
         m.cache_hit();
         m.done();
         m.busy(1_000);
-        m.record_passes([("compile", false, 500u64), ("timing-area", false, 300)].into_iter());
-        m.record_passes([("compile", false, 100u64), ("skipped", true, 9)].into_iter());
+        m.record_passes(&report(&[
+            ("compile", PassOutcome::Completed, 500),
+            ("timing-area", PassOutcome::Completed, 300),
+        ]));
+        m.record_passes(&report(&[
+            ("compile", PassOutcome::Completed, 100),
+            ("skipped", PassOutcome::Skipped, 9),
+        ]));
         m.disk_hit();
         m.queue_wait(1, 2_000);
         m.queue_wait(1, 4_000);
@@ -288,7 +308,7 @@ mod tests {
             prefix_entries: 0,
             disk_entries: 5,
         };
-        let json = m.to_json(&queue, &cache_stats, &[1, 0]);
+        let json = m.to_json(&queue, &cache_stats);
         let v = crate::json::parse(&json).expect("stats json parses");
         let jobs = v.get("jobs").expect("jobs object");
         assert_eq!(jobs.get("submitted").and_then(|x| x.as_u64()), Some(2));
@@ -298,6 +318,23 @@ mod tests {
         assert!(
             v.get("passes").is_none(),
             "no legacy top-level passes table"
+        );
+        let Value::Obj(members) = &v else {
+            panic!("stats is an object: {json}")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "workers",
+                "uptime_ns",
+                "jobs",
+                "cache",
+                "queue",
+                "histograms",
+                "worker_utilization"
+            ],
+            "no top-level key beyond the schema (no design-store sizes)"
         );
         let cache = v.get("cache").expect("cache object");
         assert_eq!(cache.get("hits").and_then(|x| x.as_u64()), Some(1));
@@ -359,7 +396,7 @@ mod tests {
         };
         cache.store(1, Arc::new(payload));
         let cache_counter = |key: &str| {
-            let v = crate::json::parse(&m.to_json(&QueueStats::default(), &cache.stats(), &[]))
+            let v = crate::json::parse(&m.to_json(&QueueStats::default(), &cache.stats()))
                 .expect("stats json parses");
             v.get("cache")
                 .and_then(|c| c.get(key))

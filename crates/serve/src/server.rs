@@ -10,14 +10,14 @@
 //! (memory hit, disk hit, prefix resume, or full run). The pieces
 //! that make that true:
 //!
+//! * every job runs on its own fresh [`Milo`], the start an offline
+//!   batch on a fresh instance gets, so no earlier job can change its
+//!   output; the result cache is the only state jobs share;
 //! * workers run the exact arm recipe the batch driver uses
-//!   (`Flow::standard()` with statistics sampling off, seeded with an
-//!   `Arc`-shared database snapshot), and results are already pinned
-//!   to be database-independent by the engine's `batch_matches_
-//!   sequential` property test;
+//!   (`Flow::standard()` with statistics sampling off);
 //! * `submit_batch` members run through the batch driver itself
-//!   ([`Milo::synthesize_batch_outputs`]) against one shared snapshot;
-//! * panicked jobs retry once against a fresh snapshot, mirroring the
+//!   ([`Milo::synthesize_batch_outputs`]);
+//! * panicked jobs retry once on another fresh `Milo`, mirroring the
 //!   batch driver's retry (fault-injector charges are server-global,
 //!   so a once-only injected fault is spent, not re-fired);
 //! * cache hits — memory or disk — replay the first run's bytes
@@ -31,7 +31,6 @@ use crate::disk::DiskCache;
 use crate::metrics::Metrics;
 use crate::protocol::{error_line, parse_request, Priority, Request, PROTOCOL_VERSION};
 use crate::scheduler::{Scheduler, WorkUnit};
-use crate::shard::ShardedDb;
 use milo_core::netlist::Netlist;
 use milo_core::techmap::TechLibrary;
 use milo_core::{Constraints, FaultInjector, Flow, FlowEvent, Milo};
@@ -171,8 +170,6 @@ pub struct ServerConfig {
     /// Synthesis worker threads (defaults to `MILO_PAR_THREADS`, then
     /// to the machine's parallelism).
     pub workers: usize,
-    /// Design-database shards.
-    pub shards: usize,
     /// Target technology library.
     pub library: TechLibrary,
     /// Server-global fault injector (test harness; the programmatic
@@ -188,9 +185,9 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: env-configured address, auto worker count, 8 shards,
-    /// the given library, no fault injection, env-configured cache
-    /// budget and spill directory.
+    /// Defaults: env-configured address, auto worker count, the given
+    /// library, no fault injection, env-configured cache budget and
+    /// spill directory.
     pub fn new(library: TechLibrary) -> Self {
         let workers = std::env::var("MILO_PAR_THREADS")
             .ok()
@@ -202,7 +199,6 @@ impl ServerConfig {
         Self {
             addr: std::env::var("MILO_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_owned()),
             workers,
-            shards: 8,
             library,
             fault: None,
             cache_bytes: std::env::var("MILO_SERVE_CACHE_BYTES")
@@ -225,13 +221,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the shard count (minimum 1).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -267,7 +256,6 @@ struct Shared {
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     next_id: AtomicU64,
     next_conn: AtomicU64,
-    shards: ShardedDb,
     cache: ResultCache,
     metrics: Metrics,
     shutdown: AtomicBool,
@@ -401,7 +389,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         jobs: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(1),
         next_conn: AtomicU64::new(1),
-        shards: ShardedDb::new(config.shards),
         cache: ResultCache::bounded(config.cache_bytes, disk, metrics.registry()),
         metrics,
         shutdown: AtomicBool::new(false),
@@ -623,9 +610,7 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                 .stats();
             format!(
                 "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"stats\", \"stats\": {}}}",
-                shared
-                    .metrics
-                    .to_json(&queue, &shared.cache.stats(), &shared.shards.shard_sizes())
+                shared.metrics.to_json(&queue, &shared.cache.stats())
             )
         }
         Request::Trace => {
@@ -730,10 +715,10 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
     let mut attempt = execute(shared, job, prefix.clone());
     if let Err(e) = &attempt {
         if e.is_panic() {
-            // Mirror the batch driver: one retry against a fresh
-            // snapshot. Injector charges are server-global, so a
-            // once-only fault is spent by now; an `#inf` fault fails
-            // the retry too, exactly like the offline batch.
+            // Mirror the batch driver: one retry on a fresh `Milo`.
+            // Injector charges are server-global, so a once-only fault
+            // is spent by now; an `#inf` fault fails the retry too,
+            // exactly like the offline batch.
             attempt = execute(shared, job, prefix);
         }
     }
@@ -761,9 +746,9 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
 
 /// Executes a `submit_batch` unit: cache-resolved members answer
 /// immediately, the misses fan out through the offline batch driver
-/// against one shared database snapshot. The driver already
-/// panic-isolates arms and retries once, so per-member failures land
-/// as per-member `Failed` states without touching their siblings.
+/// on a fresh `Milo`. The driver already panic-isolates arms and
+/// retries once, so per-member failures land as per-member `Failed`
+/// states without touching their siblings.
 ///
 /// Batch misses populate the exact tier only — the prefix-capture pass
 /// is a service-flow splice, and the whole point of the batch path is
@@ -781,26 +766,17 @@ fn run_batch(shared: &Arc<Shared>, jobs: &[Arc<Job>]) {
     // Members of one batch share one constraint set by protocol
     // construction.
     let constraints = misses[0].constraints.clone();
-    let mut milo = Milo::with_database(shared.lib.clone(), shared.shards.snapshot());
+    let mut milo = Milo::new(shared.lib.clone());
     if let Some(f) = &shared.fault {
         milo.set_fault_injector(f.clone());
     }
     let outputs = milo.synthesize_batch_outputs(&designs, &constraints);
-    shared.shards.absorb(&milo.into_database());
 
     for (job, run) in misses.into_iter().zip(outputs) {
         shared.metrics.cache_miss();
         match run {
             Ok(output) => {
-                shared
-                    .metrics
-                    .record_passes(output.report.passes.iter().map(|p| {
-                        (
-                            p.name.as_str(),
-                            p.skipped,
-                            u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX),
-                        )
-                    }));
+                shared.metrics.record_passes(&output.report);
                 let payload = Arc::new(CachedResult {
                     json: output.to_json(),
                     result_hash: output.report.result_hash,
@@ -822,15 +798,14 @@ fn run_batch(shared: &Arc<Shared>, jobs: &[Arc<Job>]) {
 
 /// One synthesis attempt. Full runs use the standard flow with a
 /// prefix-capture pass spliced in after `fanout-repair`; prefix resumes
-/// run `restore-prefix` → `timing-area` only. Either way the worker's
-/// `Milo` is seeded with a whole-store snapshot and its database is
-/// absorbed back on success.
+/// run `restore-prefix` → `timing-area` only. Either way the flow runs
+/// on a fresh `Milo`.
 fn execute(
     shared: &Arc<Shared>,
     job: &Job,
     prefix: Option<Arc<crate::cache::PrefixSnapshot>>,
 ) -> Result<Arc<CachedResult>, milo_core::MiloError> {
-    let mut milo = Milo::with_database(shared.lib.clone(), shared.shards.snapshot());
+    let mut milo = Milo::new(shared.lib.clone());
     let mut capture_slot = None;
     let mut flow = match prefix {
         Some(snap) => {
@@ -880,24 +855,14 @@ fn execute(
 
     let output = flow.run(&mut milo, &job.netlist, &job.constraints)?;
 
-    // Success: fold compiled designs back into the sharded store and
-    // promote the captured mid-flow state into the prefix tier.
-    shared.shards.absorb(&milo.into_database());
+    // Success: promote the captured mid-flow state into the prefix tier.
     if let Some(slot) = capture_slot {
         let snap = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(snap) = snap {
             shared.cache.store_prefix(job.pkey, Arc::new(snap));
         }
     }
-    shared
-        .metrics
-        .record_passes(output.report.passes.iter().map(|p| {
-            (
-                p.name.as_str(),
-                p.skipped,
-                u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX),
-            )
-        }));
+    shared.metrics.record_passes(&output.report);
     Ok(Arc::new(CachedResult {
         json: output.to_json(),
         result_hash: output.report.result_hash,

@@ -77,12 +77,7 @@ fn concurrent_jobs_byte_match_the_offline_batch() {
     let parsed: Vec<Netlist> = pairs.iter().map(|(_, nl)| nl.clone()).collect();
     let expected = offline_results(&parsed, &constraints);
 
-    let handle = spawn(
-        ServerConfig::new(ecl_library())
-            .with_workers(3)
-            .with_shards(4),
-    )
-    .expect("server binds");
+    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(3)).expect("server binds");
     let addr = handle.addr();
 
     // One connection per job, all submitting at once: arrival order and
@@ -139,6 +134,39 @@ fn concurrent_jobs_byte_match_the_offline_batch() {
         assert_eq!(stat_u64(&stats, &["cache", "hits"]), 1);
         assert_eq!(stat_u64(&stats, &["cache", "misses"]), 5);
     }
+}
+
+/// Two pipelined datapaths share compiled sub-designs (adders,
+/// multiplexors, registers) by name. The bottom-up optimizer stores its
+/// optimized versions under those names, so a job that inherited the
+/// first job's design database would reuse them. Each job runs on a
+/// fresh `Milo`: the second job's result is its fresh offline twin's.
+#[test]
+fn earlier_jobs_do_not_change_later_results() {
+    let constraints = Constraints::none().with_max_delay(6.0);
+    let (first_text, _) = wire(&pipelined_datapath(2, 4, 3));
+    let (second_text, second) = wire(&pipelined_datapath(3, 4, 5));
+    let expected = offline_results(&[second], &constraints);
+
+    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let first = client
+        .submit_with(&first_text, &constraints, &SubmitOptions::new())
+        .expect("submits");
+    client.result_raw(first).expect("first result");
+
+    let job = client
+        .submit_with(&second_text, &constraints, &SubmitOptions::new())
+        .expect("submits");
+    let raw = client.result_raw(job).expect("second result");
+    assert_eq!(
+        get_str(&milo_serve::parse_json(&raw).expect("parses"), "state"),
+        "done"
+    );
+    assert!(
+        raw.contains(expected[0].as_str()),
+        "second job's result depends on the first job"
+    );
 }
 
 #[test]
